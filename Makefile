@@ -11,7 +11,8 @@ test:
 # verify is the tier-1 gate (see ROADMAP.md): static analysis, the full
 # test suite under the race detector, and short-budget fuzz passes over the
 # parser-shaped surfaces (assembler, BDI codec, fault injector, the
-# warped.trace/v1 wire reader) plus the record/replay determinism oracle.
+# warped.trace/v1 wire reader), the memory pipe against its spec-literal
+# reference, plus the record/replay determinism oracle.
 # The parallel experiment engine is exercised concurrently by its own
 # tests, so -race is load-bearing here, not ceremonial. The second sim
 # pass re-runs the whole package with the SM loop sharded four ways
@@ -25,6 +26,7 @@ verify:
 	$(GO) test -run=^$$ -fuzz=FuzzBDIRoundTrip -fuzztime=3s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzSchemeRoundTrip -fuzztime=3s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzInjector -fuzztime=3s ./internal/faults
+	$(GO) test -run=^$$ -fuzz=FuzzPipe -fuzztime=3s ./internal/mem
 	$(GO) test -run=^$$ -fuzz=FuzzTraceRead -fuzztime=3s ./internal/exectrace
 	$(GO) test -run=^$$ -fuzz=FuzzRecordReplay -fuzztime=3s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzStoreRead -fuzztime=3s ./internal/store

@@ -37,7 +37,7 @@ import (
 
 func main() {
 	var (
-		bench    = flag.String("bench", "", "benchmark name (one of the 20-workload suite)")
+		bench    = flag.String("bench", "", fmt.Sprintf("benchmark name (one of the %d-workload suite; see -list)", len(warped.Benchmarks())))
 		list     = flag.Bool("list", false, "list available benchmarks and exit")
 		asmFile  = flag.String("asm", "", "run a kernel from an assembly file instead of a benchmark")
 		grid     = flag.Int("grid", 30, "grid size in CTAs (with -asm)")

@@ -204,12 +204,20 @@ func CoalesceSegments(addrs *[isa.WarpSize]uint32, mask uint32) int {
 // Pipe is the global-memory timing model: transactions issue at one per
 // cycle, each completes after Latency cycles, and at most MaxInflight may be
 // outstanding.
+//
+// Completion cycles are strictly increasing in issue order (nextFree only
+// grows and Latency is fixed), so the outstanding ones form a queue:
+// ring[head:] holds them oldest first, reaping pops finished entries off the
+// head, and the k-th live entry is the cycle by which k of them will have
+// retired. The dead prefix is compacted away once it outgrows the live
+// part, so the backing array stays within 2*MaxInflight entries.
 type Pipe struct {
 	Latency     int
 	MaxInflight int
 
-	inflight []uint64 // completion cycles of outstanding transactions
-	nextFree uint64   // next cycle the issue port is free
+	ring     []uint64 // ring[head:]: completion cycles of outstanding transactions, ascending
+	head     int
+	nextFree uint64 // next cycle the issue port is free
 	txns     uint64
 }
 
@@ -222,13 +230,14 @@ func NewPipe(latency, maxInflight int) *Pipe {
 }
 
 // TryIssue attempts to issue `txns` transactions at cycle now; on success it
-// returns the cycle the last transaction's data is available.
+// returns the cycle the last transaction's data is available. Calls must be
+// made with non-decreasing now.
 func (p *Pipe) TryIssue(now uint64, txns int) (ready uint64, ok bool) {
 	if txns <= 0 {
 		return now, true
 	}
 	p.reap(now)
-	if len(p.inflight)+txns > p.MaxInflight {
+	if len(p.ring)-p.head+txns > p.MaxInflight {
 		return 0, false
 	}
 	start := now
@@ -238,23 +247,38 @@ func (p *Pipe) TryIssue(now uint64, txns int) (ready uint64, ok bool) {
 	last := start + uint64(txns-1)
 	p.nextFree = last + 1
 	ready = last + uint64(p.Latency)
+	if p.head > 0 && p.head >= len(p.ring)-p.head {
+		p.ring = p.ring[:copy(p.ring, p.ring[p.head:])]
+		p.head = 0
+	}
 	for i := 0; i < txns; i++ {
-		p.inflight = append(p.inflight, start+uint64(i)+uint64(p.Latency))
+		p.ring = append(p.ring, start+uint64(i)+uint64(p.Latency))
 	}
 	p.txns += uint64(txns)
 	return ready, true
 }
 
+// RoomAt returns the first cycle, no earlier than now, at which TryIssue of
+// `txns` transactions succeeds if nothing else issues in between. ok is
+// false when txns exceeds MaxInflight: such an access never fits.
+func (p *Pipe) RoomAt(now uint64, txns int) (room uint64, ok bool) {
+	if txns > p.MaxInflight {
+		return 0, false
+	}
+	p.reap(now)
+	need := len(p.ring) - p.head + txns - p.MaxInflight
+	if need <= 0 {
+		return now, true
+	}
+	return p.ring[p.head+need-1], true
+}
+
 // Transactions returns the total transactions issued.
 func (p *Pipe) Transactions() uint64 { return p.txns }
 
-// reap drops completed transactions.
+// reap pops the transactions completed by cycle now.
 func (p *Pipe) reap(now uint64) {
-	out := p.inflight[:0]
-	for _, c := range p.inflight {
-		if c > now {
-			out = append(out, c)
-		}
+	for p.head < len(p.ring) && p.ring[p.head] <= now {
+		p.head++
 	}
-	p.inflight = out
 }

@@ -133,24 +133,24 @@ func TestSharedConflicts(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint32(4 * i)
 	}
-	if d := SharedConflictDegree(&addrs, 0xFFFFFFFF); d != 1 {
+	if d := AnalyzeShared(&addrs, 0xFFFFFFFF, SharedWordBytes).Phases; d != 1 {
 		t.Fatalf("consecutive: degree %d, want 1", d)
 	}
 	// Stride-32 words: all lanes hit bank 0 -> 32-way conflict.
 	for i := range addrs {
 		addrs[i] = uint32(4 * 32 * i)
 	}
-	if d := SharedConflictDegree(&addrs, 0xFFFFFFFF); d != 32 {
+	if d := AnalyzeShared(&addrs, 0xFFFFFFFF, SharedWordBytes).Phases; d != 32 {
 		t.Fatalf("stride-32: degree %d, want 32", d)
 	}
 	// Broadcast of one word: degree 1.
 	for i := range addrs {
 		addrs[i] = 64
 	}
-	if d := SharedConflictDegree(&addrs, 0xFFFFFFFF); d != 1 {
+	if d := AnalyzeShared(&addrs, 0xFFFFFFFF, SharedWordBytes).Phases; d != 1 {
 		t.Fatalf("broadcast: degree %d, want 1", d)
 	}
-	if d := SharedConflictDegree(&addrs, 0); d != 1 {
+	if d := AnalyzeShared(&addrs, 0, SharedWordBytes).Phases; d != 1 {
 		t.Fatalf("empty mask: degree %d, want 1", d)
 	}
 }
@@ -190,6 +190,117 @@ func TestPipeZeroTxns(t *testing.T) {
 	if !ok || r != 42 {
 		t.Fatal("zero transactions should complete immediately")
 	}
+}
+
+// TestPipeOversizeNeverFits: an access needing more transactions than the
+// pipe admits never reports a room cycle and never issues, however long it
+// waits — the simulator's wake bookkeeping relies on this to leave such a
+// launch stalled until MaxCycles rather than waking it at a bogus cycle.
+func TestPipeOversizeNeverFits(t *testing.T) {
+	p := NewPipe(10, 4)
+	if _, ok := p.TryIssue(0, 3); !ok {
+		t.Fatal("3 of 4 rejected")
+	}
+	for now := uint64(0); now < 200; now += 7 {
+		if room, ok := p.RoomAt(now, 5); ok {
+			t.Fatalf("RoomAt(%d, 5) = %d on a 4-entry pipe", now, room)
+		}
+		if _, ok := p.TryIssue(now, 5); ok {
+			t.Fatalf("5 transactions issued at %d on a 4-entry pipe", now)
+		}
+	}
+	if room, ok := p.RoomAt(200, 4); !ok || room != 200 {
+		t.Fatalf("drained pipe: RoomAt(200, 4) = %d, %v; want 200, true", room, ok)
+	}
+}
+
+// refPipe is the spec-literal pipe model Pipe is fuzzed against: an
+// unordered list of completion cycles, filtered on every issue attempt.
+type refPipe struct {
+	latency, maxInflight int
+	inflight             []uint64
+	nextFree             uint64
+}
+
+func (p *refPipe) tryIssue(now uint64, txns int) (ready uint64, ok bool) {
+	if txns <= 0 {
+		return now, true
+	}
+	out := p.inflight[:0]
+	for _, c := range p.inflight {
+		if c > now {
+			out = append(out, c)
+		}
+	}
+	p.inflight = out
+	if len(p.inflight)+txns > p.maxInflight {
+		return 0, false
+	}
+	start := max(now, p.nextFree)
+	last := start + uint64(txns-1)
+	p.nextFree = last + 1
+	for i := 0; i < txns; i++ {
+		p.inflight = append(p.inflight, start+uint64(i)+uint64(p.latency))
+	}
+	return last + uint64(p.latency), true
+}
+
+// acceptsAt reports whether the reference would issue txns at cycle t,
+// without changing it.
+func (p *refPipe) acceptsAt(t uint64, txns int) bool {
+	c := *p
+	c.inflight = append([]uint64(nil), p.inflight...)
+	_, ok := c.tryIssue(t, txns)
+	return ok
+}
+
+// FuzzPipe drives Pipe and the reference with the same random issue
+// stream (non-decreasing cycles, transaction counts that sometimes exceed
+// the capacity): both must return identical (ready, ok), RoomAt must name
+// exactly the first cycle at which the reference accepts, and the ring's
+// backing array must stay within twice the capacity.
+func FuzzPipe(f *testing.F) {
+	f.Add(uint8(200), uint8(64), []byte{0, 1, 0, 32, 0, 32, 5, 9, 250, 64})
+	f.Add(uint8(3), uint8(2), []byte{0, 2, 0, 1, 1, 3, 1, 2, 0, 2, 9, 0})
+	f.Add(uint8(1), uint8(1), []byte{0, 1, 0, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, latency, capacity uint8, ops []byte) {
+		lat, maxIn := int(latency)%64+1, int(capacity)%16+1
+		p := NewPipe(lat, maxIn)
+		ref := &refPipe{latency: lat, maxInflight: maxIn}
+		now := uint64(0)
+		for len(ops) >= 2 {
+			now += uint64(ops[0] % 8)
+			txns := int(ops[1]) % (maxIn + 3)
+			ops = ops[2:]
+
+			room, ok := p.RoomAt(now, txns)
+			if txns > maxIn {
+				if ok {
+					t.Fatalf("RoomAt(%d, %d) = %d on a %d-entry pipe", now, txns, room, maxIn)
+				}
+			} else {
+				first := now
+				for !ref.acceptsAt(first, txns) {
+					if first > now+uint64(lat+maxIn) {
+						t.Fatalf("reference never accepts %d transactions after %d", txns, now)
+					}
+					first++
+				}
+				if !ok || room != first {
+					t.Fatalf("RoomAt(%d, %d) = %d, %v; reference first accepts at %d", now, txns, room, ok, first)
+				}
+			}
+
+			gotReady, gotOK := p.TryIssue(now, txns)
+			wantReady, wantOK := ref.tryIssue(now, txns)
+			if gotReady != wantReady || gotOK != wantOK {
+				t.Fatalf("TryIssue(%d, %d) = %d, %v; reference %d, %v", now, txns, gotReady, gotOK, wantReady, wantOK)
+			}
+			if len(p.ring) > 2*maxIn {
+				t.Fatalf("ring backing grew to %d entries for capacity %d", len(p.ring), maxIn)
+			}
+		}
+	})
 }
 
 func TestCacheBasic(t *testing.T) {

@@ -100,9 +100,10 @@ func TestSharedWidthGuard(t *testing.T) {
 	AnalyzeShared(&addrs, fullMask(), 16)
 }
 
-// TestSharedConflictDegreeAgrees pins the historical entry point to the new
-// model: for any address vector and mask, SharedConflictDegree is exactly
-// AnalyzeShared's phase count at the native 4-byte width.
+// TestSharedConflictDegreeAgrees checks AnalyzeShared's phase count
+// against the spec-literal conflict degree at the native 4-byte width: the
+// largest number of distinct words any one bank must serve, or 1 when no
+// bank serves more than one (including the all-inactive access).
 func TestSharedConflictDegreeAgrees(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -111,9 +112,20 @@ func TestSharedConflictDegreeAgrees(t *testing.T) {
 			addrs[i] = uint32(r.Intn(256)) * 4
 		}
 		mask := r.Uint32()
-		want := AnalyzeShared(&addrs, mask, 4).Phases
-		if got := SharedConflictDegree(&addrs, mask); got != want {
-			t.Fatalf("trial %d: SharedConflictDegree = %d, AnalyzeShared.Phases = %d", trial, got, want)
+		words := map[uint32]bool{}
+		perBank := map[uint32]int{}
+		for lane, a := range addrs {
+			if mask&(1<<lane) != 0 && !words[a/4] {
+				words[a/4] = true
+				perBank[a/4%SharedBanks]++
+			}
+		}
+		want := 1
+		for _, n := range perBank {
+			want = max(want, n)
+		}
+		if got := AnalyzeShared(&addrs, mask, SharedWordBytes).Phases; got != want {
+			t.Fatalf("trial %d: AnalyzeShared.Phases = %d, conflict degree %d", trial, got, want)
 		}
 	}
 }

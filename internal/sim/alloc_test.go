@@ -13,12 +13,6 @@ import (
 // scratch-arena work: once the pools are warm, an SM cycle (pipeline
 // advance + issue + register-file tick) performs zero heap allocations.
 func TestSteadyStateStepAllocFree(t *testing.T) {
-	c := testConfig()
-	c.NumSMs = 1
-	g, err := New(c)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	// A long uniform loop touching the ALU, the compressor path and global
 	// memory in both directions, so the measured steps exercise the full
 	// issue/execute/writeback machinery.
@@ -35,6 +29,50 @@ Lloop:
 @p0	bra Lloop
 	exit
 `
+	if allocs, _ := steadyStateStep(t, src, testConfig()); allocs != 0 {
+		t.Fatalf("steady-state SM step allocates %.1f objects/cycle, want 0", allocs)
+	}
+}
+
+// TestSleepingStepAllocFree extends the allocation gate to the wake-time
+// path: a memory-bound loop whose uncoalesced loads (32 segments each, L1
+// off so every one reaches DRAM) keep the memory pipe full, so most
+// measured cycles are slept through and the rest compact the pipe's ring
+// and refill it. Neither may allocate.
+func TestSleepingStepAllocFree(t *testing.T) {
+	src := `
+	mov  r0, %tid.x
+	shl  r1, r0, 7
+	mov  r2, 0
+Lloop:
+	ld.global r3, [r1]
+	add  r2, r2, 1
+	setp.lt p0, r2, 1000000
+@p0	bra Lloop
+	exit
+`
+	c := testConfig()
+	c.L1SizeKB = 0
+	allocs, asleep := steadyStateStep(t, src, c)
+	if allocs != 0 {
+		t.Fatalf("sleeping SM step allocates %.1f objects/cycle, want 0", allocs)
+	}
+	t.Logf("SM slept through %.0f%% of the measured cycles", 100*asleep)
+	if asleep < 0.5 {
+		t.Fatalf("SM slept through %.0f%% of the measured cycles, want most of them", 100*asleep)
+	}
+}
+
+// steadyStateStep warms one SM of config c running src (4 CTAs of 64
+// threads) for 2000 cycles, then measures the heap allocations per cycle
+// over 500 more and the share of those cycles the SM slept through.
+func steadyStateStep(t *testing.T, src string, c Config) (allocs, asleep float64) {
+	t.Helper()
+	c.NumSMs = 1
+	g, err := New(c)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
 	k, err := asm.Assemble("steady", src)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
@@ -51,10 +89,14 @@ Lloop:
 	sm.reset(l)
 	nextCTA := 0
 	cycle := uint64(0)
+	slept := 0
 	step := func() {
 		cycle++
 		if nextCTA < l.NumCTAs() && sm.tryLaunchCTA(nextCTA) {
 			nextCTA++
+		}
+		if cycle < sm.sleepUntil {
+			slept++
 		}
 		sm.step(cycle)
 		if sm.err != nil {
@@ -72,12 +114,14 @@ Lloop:
 	if !sm.busy() {
 		t.Fatal("kernel drained during warm-up; steady-state window too short")
 	}
-	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
-		t.Fatalf("steady-state SM step allocates %.1f objects/cycle, want 0", allocs)
-	}
+	slept = 0
+	const runs = 500
+	allocs = testing.AllocsPerRun(runs, step)
 	if !sm.busy() {
 		t.Fatal("kernel drained during measurement; steady-state window too short")
 	}
+	// AllocsPerRun adds one warm-up call to its measured runs.
+	return allocs, float64(slept) / (runs + 1)
 }
 
 // TestChooseEncMemo proves the encoding memo actually short-circuits the

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/regfile"
@@ -67,8 +69,11 @@ type inflight struct {
 
 // advancePipeline moves every in-flight instruction forward one cycle, in
 // issue order (which makes oldest-first bank arbitration implicit), and
-// retires completed ones.
+// retires completed ones. It leaves in s.wake the earliest cycle at which a
+// remaining instruction can next change state (math.MaxUint64 when none
+// can), and in s.wakeStalls the writes stalled on a bank wakeup.
 func (s *SM) advancePipeline() {
+	s.wake, s.wakeStalls = math.MaxUint64, 0
 	out := s.inflight[:0]
 	for _, f := range s.inflight {
 		if s.advance(f) {
@@ -83,7 +88,10 @@ func (s *SM) advancePipeline() {
 
 // advance runs one cycle of an instruction's state machine; returns true
 // when the instruction has fully retired. `continue` transitions consume no
-// time; `return false` waits for the next cycle.
+// time; `return false` waits, after recording the cycle the wait can end
+// (s.waitUntil): readyAt for a timed stage, the pipe's room cycle for a
+// pipe-blocked global access, the bank's wake cycle for a wakeup-stalled
+// write, and the next cycle for every other wait.
 func (s *SM) advance(f *inflight) bool {
 	for {
 		switch f.stage {
@@ -102,6 +110,7 @@ func (s *SM) advance(f *inflight) bool {
 			}
 			f.nPending = rem
 			if rem > 0 {
+				s.waitUntil(s.cycle + 1)
 				return false
 			}
 			s.collectorsInUse--
@@ -110,12 +119,14 @@ func (s *SM) advance(f *inflight) bool {
 			} else {
 				f.stage = stExecStart
 			}
-			return false // operand data arrives next cycle
+			s.waitUntil(s.cycle + 1) // operand data arrives next cycle
+			return false
 
 		case stDecomp:
 			for f.compSrcs > 0 {
 				ready, ok := s.decomp.TryStart(s.cycle)
 				if !ok {
+					s.waitUntil(s.cycle + 1)
 					return false
 				}
 				if ready > f.unitReady {
@@ -129,6 +140,7 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stDecompWait:
 			if s.cycle < f.readyAt {
+				s.waitUntil(f.readyAt)
 				return false
 			}
 			f.stage = stExecStart
@@ -136,6 +148,13 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stExecStart:
 			if !s.startExec(f) {
+				// Only a full memory pipe refuses an instruction; it
+				// retries when the pipe has room for its misses, and an
+				// access that can never fit waits forever (the launch
+				// ends in ErrMaxCycles, as it would by polling).
+				if room, ok := s.memPipe.RoomAt(s.cycle, f.missTxns); ok {
+					s.waitUntil(room)
+				}
 				return false
 			}
 			f.stage = stExecWait
@@ -143,6 +162,7 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stExecWait:
 			if s.cycle < f.readyAt {
+				s.waitUntil(f.readyAt)
 				return false
 			}
 			// Release predicate results at execute completion.
@@ -170,6 +190,7 @@ func (s *SM) advance(f *inflight) bool {
 			ready, ok := s.comp.TryStart(s.cycle)
 			if !ok {
 				s.st.StallCompressor++
+				s.waitUntil(s.cycle + 1)
 				return false
 			}
 			f.readyAt = ready
@@ -179,6 +200,7 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stCompressWait:
 			if s.cycle < f.readyAt {
+				s.waitUntil(f.readyAt)
 				return false
 			}
 			f.stage = stWrite
@@ -204,12 +226,15 @@ func (s *SM) advance(f *inflight) bool {
 			}
 			if maxReady > s.cycle {
 				s.st.StallWakeup++
+				s.wakeStalls++
+				s.waitUntil(maxReady)
 				return false
 			}
 			// All-or-nothing write port acquisition keeps the
 			// multi-bank write atomic.
 			for _, b := range f.wbBanks[:f.nWB] {
 				if s.writePort[b] == s.cycle {
+					s.waitUntil(s.cycle + 1)
 					return false
 				}
 			}
@@ -220,6 +245,13 @@ func (s *SM) advance(f *inflight) bool {
 			s.commitWrite(f)
 			return true
 		}
+	}
+}
+
+// waitUntil lowers the SM's wake cycle to t.
+func (s *SM) waitUntil(t uint64) {
+	if t < s.wake {
+		s.wake = t
 	}
 }
 

@@ -49,6 +49,20 @@ type SM struct {
 	liveWarps       int
 	collectorsInUse int // inflight instructions still in stCollect
 
+	// Wake-time bookkeeping (DESIGN.md §12). advancePipeline records in
+	// wake the earliest cycle at which any in-flight instruction can change
+	// state, and in wakeStalls the writes stalled on a bank wakeup. A cycle
+	// that issues nothing while wake lies beyond the next cycle puts the SM
+	// to sleep until wake: the cycles in between are quiescent, so step
+	// charges each of them the last issue scan's stall counts and
+	// wakeStalls instead of re-running the pipeline advance and the issue
+	// scan. A CTA launch clears the sleep.
+	wake           uint64
+	wakeStalls     uint64
+	sleepUntil     uint64
+	idleScoreboard uint64 // StallScoreboard charged by the last issue scan
+	idleCollector  uint64 // StallCollector charged by the last issue scan
+
 	inj *faults.Injector // nil unless fault injection is configured
 
 	// Epoch-commit state (shard.go): global stores and deferred atomics
@@ -190,6 +204,7 @@ func (s *SM) reset(l isa.Launch) {
 	s.liveWarps = 0
 	s.ageSeq = 0
 	s.collectorsInUse = 0
+	s.sleepUntil = 0
 	s.err = nil
 	s.errCycle = 0
 	s.memLog = s.memLog[:0]
@@ -280,21 +295,40 @@ func (s *SM) tryLaunchCTA(ctaID int) bool {
 		}
 		s.liveWarps++
 	}
+	s.sleepUntil = 0 // new warps may issue next cycle
 	return true
 }
 
-// step advances the SM by one cycle.
+// step advances the SM by one cycle. A sleeping SM's cycle is quiescent:
+// no in-flight instruction can change state and the issue scan would find
+// exactly what it found when the SM fell asleep, so the cycle is charged
+// that scan's stall counts, one StallWakeup per wakeup-stalled write, and
+// the register file's per-cycle power accounting.
 func (s *SM) step(cycle uint64) {
 	s.cycle = cycle
+	if cycle < s.sleepUntil {
+		s.st.StallScoreboard += s.idleScoreboard
+		s.st.StallCollector += s.idleCollector
+		s.st.StallWakeup += s.wakeStalls
+		s.rfFile.Tick(cycle)
+		return
+	}
 	s.advancePipeline()
-	s.issueAll()
+	scoreboard, collector := s.st.StallScoreboard, s.st.StallCollector
+	if !s.issueAll() && s.wake > cycle+1 {
+		s.sleepUntil = s.wake
+		s.idleScoreboard = s.st.StallScoreboard - scoreboard
+		s.idleCollector = s.st.StallCollector - collector
+	}
 	s.rfFile.Tick(cycle)
 }
 
-// issueAll lets every scheduler issue at most one instruction.
-func (s *SM) issueAll() {
+// issueAll lets every scheduler issue at most one instruction and reports
+// whether any did.
+func (s *SM) issueAll() bool {
 	nsched := s.cfg.SchedulersPerSM
 	cands := s.cands[:0]
+	issued := false
 	for si := 0; si < nsched && s.err == nil; si++ {
 		cands = cands[:0]
 		for slot := si; slot < len(s.warps); slot += nsched {
@@ -311,8 +345,10 @@ func (s *SM) issueAll() {
 		}
 		slot := s.policy[si].Pick(cands)
 		s.issue(s.warps[slot])
+		issued = true
 	}
 	s.cands = cands[:0] // retain grown backing
+	return issued
 }
 
 // nextInstr returns the warp's next instruction: the SIMT stack top in
