@@ -25,8 +25,9 @@ const resultHashMaxCycles = 200_000
 // a skipped (quiescent) cycle must charge exactly as a stepped one would:
 // scheduler stall counters, drowsy and gated bank cycles, the register file
 // cache, bank wakeups, the recompress merge reads, fault corruption, a
-// saturated memory pipe, the sharded epoch commit, and CTAs that queue for
-// a free slot and launch onto an SM mid-run.
+// saturated memory pipe, the sharded epoch commit, CTAs that queue for a
+// free slot and launch onto an SM mid-run, a single scheduler owning every
+// warp slot, and a 128-slot SM whose live warps reach past slot 64.
 func resultHashConfigs() []struct {
 	name string
 	cfg  Config
@@ -59,6 +60,10 @@ func resultHashConfigs() []struct {
 		{"inflight8", base(func(c *Config) { c.GlobalMaxInflight = 8 })},
 		{"epoch4x4", base(func(c *Config) { c.SMEpoch, c.SMParallel = 4, 4 })},
 		{"queued", base(func(c *Config) { c.NumSMs, c.MaxCTAsPerSM = 2, 1 })},
+		{"sched1", base(func(c *Config) { c.SchedulersPerSM = 1 })},
+		{"wide", base(func(c *Config) {
+			c.NumSMs, c.MaxWarpsPerSM, c.MaxCTAsPerSM, c.SchedulersPerSM = 1, 128, 16, 4
+		})},
 	}
 }
 
