@@ -160,12 +160,14 @@ func (g *GPU) run(ctx context.Context, l isa.Launch, beat *atomic.Uint64) (*Resu
 	for {
 		// Round-robin CTA dispatch (one attempt per SM per epoch keeps
 		// the dispatcher simple and fair; at the default 1-cycle epoch
-		// this is the sequential engine's per-cycle dispatch exactly).
+		// this is the sequential engine's per-cycle dispatch exactly). An
+		// SM whose last attempt failed is skipped until a warp retires:
+		// the attempt would fail again, and a failed one changes nothing.
 		for _, sm := range g.sms {
 			if nextCTA >= numCTAs {
 				break
 			}
-			if sm.tryLaunchCTA(nextCTA) {
+			if !sm.launchBlocked && sm.tryLaunchCTA(nextCTA) {
 				nextCTA++
 			}
 		}

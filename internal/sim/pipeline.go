@@ -33,25 +33,24 @@ const (
 // 3 distinct sources plus a merged-destination read, 8 banks each), so the
 // steady-state pipeline allocates nothing.
 type inflight struct {
+	// The fields every cycle's advance reads come first, so an instruction
+	// waiting out its wakeAt costs one cache line.
+	stage pipeStage
+	// wakeAt is the cycle before which a pure-time or pipe-room wait cannot
+	// end; advancePipeline skips the instruction until then.
+	wakeAt  uint64
+	readyAt uint64 // current stage's completion cycle
+
 	w       *Warp
 	in      *isa.Instr // nil for injected dummy MOVs
 	eff     uint32     // execution mask
 	partial bool       // register write covers a subset of live lanes
 	dummy   bool       // injected decompress-MOV (paper §5.2)
-	res     execResult
 
-	stage        pipeStage
 	pendingBanks [4 * regfile.BanksPerCluster]uint8 // operand bank reads not yet granted
 	nPending     int
 	compSrcs     int    // compressed sources awaiting a decompressor
 	unitReady    uint64 // latest decompressor completion granted so far
-	readyAt      uint64 // current stage's completion cycle
-
-	// Deferred-atomic state (shard.go): addends captured at issue for the
-	// epoch barrier to apply, and — in replay mode — the first trace AtomOp
-	// index of this instruction.
-	atomAdds [isa.WarpSize]uint32
-	atomIdx  int
 
 	dstID    int
 	dummyDst isa.Reg
@@ -65,18 +64,31 @@ type inflight struct {
 	l1Checked bool   // L1 lookup done (so retries don't re-access)
 	missTxns  int    // segments that missed and need DRAM transactions
 	hitReady  uint64 // completion cycle of the L1-hit portion
+
+	// Deferred-atomic state (shard.go): addends captured at issue for the
+	// epoch barrier to apply, and — in replay mode — the first trace AtomOp
+	// index of this instruction.
+	atomAdds [isa.WarpSize]uint32
+	atomIdx  int
+
+	res execResult
 }
 
 // advancePipeline moves every in-flight instruction forward one cycle, in
 // issue order (which makes oldest-first bank arbitration implicit), and
-// retires completed ones. It leaves in s.wake the earliest cycle at which a
+// retires completed ones. An instruction parked in a wait that cannot end
+// before its wakeAt is not advanced: that advance would only find the wait
+// still pending. It leaves in s.wake the earliest cycle at which a
 // remaining instruction can next change state (math.MaxUint64 when none
 // can), and in s.wakeStalls the writes stalled on a bank wakeup.
 func (s *SM) advancePipeline() {
 	s.wake, s.wakeStalls = math.MaxUint64, 0
 	out := s.inflight[:0]
 	for _, f := range s.inflight {
-		if s.advance(f) {
+		if s.cycle < f.wakeAt {
+			s.waitUntil(f.wakeAt)
+			out = append(out, f)
+		} else if s.advance(f) {
 			s.retire(f)
 			s.freeInflight(f)
 		} else {
@@ -88,10 +100,13 @@ func (s *SM) advancePipeline() {
 
 // advance runs one cycle of an instruction's state machine; returns true
 // when the instruction has fully retired. `continue` transitions consume no
-// time; `return false` waits, after recording the cycle the wait can end
-// (s.waitUntil): readyAt for a timed stage, the pipe's room cycle for a
-// pipe-blocked global access, the bank's wake cycle for a wakeup-stalled
-// write, and the next cycle for every other wait.
+// time; `return false` waits, after recording the cycle the wait can end:
+// readyAt for a timed stage and the pipe's room cycle for a pipe-blocked
+// global access (s.park: nothing else can end these waits early), the
+// bank's wake cycle for a wakeup-stalled write, and the next cycle for
+// every other wait (s.waitUntil: these are retried every cycle, because a
+// wakeup stall is charged per cycle and the others contend for ports and
+// units).
 func (s *SM) advance(f *inflight) bool {
 	for {
 		switch f.stage {
@@ -140,7 +155,7 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stDecompWait:
 			if s.cycle < f.readyAt {
-				s.waitUntil(f.readyAt)
+				s.park(f, f.readyAt)
 				return false
 			}
 			f.stage = stExecStart
@@ -151,10 +166,13 @@ func (s *SM) advance(f *inflight) bool {
 				// Only a full memory pipe refuses an instruction; it
 				// retries when the pipe has room for its misses, and an
 				// access that can never fit waits forever (the launch
-				// ends in ErrMaxCycles, as it would by polling).
-				if room, ok := s.memPipe.RoomAt(s.cycle, f.missTxns); ok {
-					s.waitUntil(room)
+				// ends in ErrMaxCycles, as it would by polling). Later
+				// issues only fill the pipe, so room never comes sooner.
+				room, ok := s.memPipe.RoomAt(s.cycle, f.missTxns)
+				if !ok {
+					room = math.MaxUint64
 				}
+				s.park(f, room)
 				return false
 			}
 			f.stage = stExecWait
@@ -162,12 +180,13 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stExecWait:
 			if s.cycle < f.readyAt {
-				s.waitUntil(f.readyAt)
+				s.park(f, f.readyAt)
 				return false
 			}
 			// Release predicate results at execute completion.
 			if f.in != nil && f.in.Op == isa.OpSetP {
 				f.w.predBusy &^= 1 << f.in.PDst
+				s.markDirty(f.w)
 			}
 			if !f.res.writes {
 				return true
@@ -200,7 +219,7 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stCompressWait:
 			if s.cycle < f.readyAt {
-				s.waitUntil(f.readyAt)
+				s.park(f, f.readyAt)
 				return false
 			}
 			f.stage = stWrite
@@ -253,6 +272,12 @@ func (s *SM) waitUntil(t uint64) {
 	if t < s.wake {
 		s.wake = t
 	}
+}
+
+// park parks f in a wait that nothing can end before cycle t.
+func (s *SM) park(f *inflight, t uint64) {
+	f.wakeAt = t
+	s.waitUntil(t)
 }
 
 // startExec dispatches to the right functional unit / memory path; returns
@@ -372,6 +397,7 @@ func (s *SM) commitWrite(f *inflight) {
 	// have issued yet, so the corrupted value is exactly what they see.
 	s.applyFaults(f, dst, full)
 	f.w.regBusy &^= 1 << dst
+	s.markDirty(f.w)
 
 	if f.dummy {
 		return // mechanism artifact: excluded from write statistics
@@ -473,6 +499,7 @@ func (s *SM) rfcCommit(f *inflight) {
 		s.rfcWriteback(w, evicted)
 	}
 	w.regBusy &^= 1 << f.in.Dst
+	s.markDirty(w)
 
 	phase := stats.NonDivergent
 	if f.partial {

@@ -47,18 +47,27 @@ func (g *GPU) ReplayContextBeat(ctx context.Context, lt *exectrace.Launch, beat 
 	if err := lt.Validate(); err != nil {
 		return nil, err
 	}
-	l := isa.Launch{Kernel: lt.Kernel, Grid: lt.Grid, Block: lt.Block, Params: lt.Params}
+	g.rp = newReplayRun(lt)
+	defer func() { g.rp = nil }()
+	return g.run(ctx, replayLaunch(lt), beat)
+}
+
+// replayLaunch is the launch a trace launch replays.
+func replayLaunch(lt *exectrace.Launch) isa.Launch {
+	return isa.Launch{Kernel: lt.Kernel, Grid: lt.Grid, Block: lt.Block, Params: lt.Params}
+}
+
+// newReplayRun builds the per-run state of replaying lt.
+func newReplayRun(lt *exectrace.Launch) *replayRun {
 	rp := &replayRun{
 		launch:      lt,
-		warpsPerCTA: l.WarpsPerCTA(),
+		warpsPerCTA: replayLaunch(lt).WarpsPerCTA(),
 		atoms:       make(map[uint32]uint32, len(lt.AtomInit)),
 	}
 	for _, c := range lt.AtomInit {
 		rp.atoms[c.Addr] = c.Val
 	}
-	g.rp = rp
-	defer func() { g.rp = nil }()
-	return g.run(ctx, l, beat)
+	return rp
 }
 
 // replayStep is the replay-mode counterpart of execute: it advances the
