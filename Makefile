@@ -11,7 +11,7 @@ test:
 # verify is the tier-1 gate (see ROADMAP.md): static analysis, the full
 # test suite under the race detector, and short-budget fuzz passes over the
 # parser-shaped surfaces (assembler, BDI codec, fault injector, the
-# warped.trace/v1 wire reader), the memory pipe against its spec-literal
+# warped.trace/v1 wire reader, campaign specs), the memory pipe against its spec-literal
 # reference, plus the record/replay determinism oracle.
 # The parallel experiment engine is exercised concurrently by its own
 # tests, so -race is load-bearing here, not ceremonial. The second sim
@@ -30,6 +30,7 @@ verify:
 	$(GO) test -run=^$$ -fuzz=FuzzTraceRead -fuzztime=3s ./internal/exectrace
 	$(GO) test -run=^$$ -fuzz=FuzzRecordReplay -fuzztime=3s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzStoreRead -fuzztime=3s ./internal/store
+	$(GO) test -run=^$$ -fuzz=FuzzSpecParse -fuzztime=3s ./internal/sweep
 
 # Benchmark-regression workflow (DESIGN.md §12): `make bench` runs the
 # benchmark filter BENCH with allocation reporting, BENCHCOUNT times, and

@@ -282,9 +282,13 @@ func BenchmarkBDICompress(b *testing.B) {
 	for i := range w {
 		w[i] = uint32(1000 + i)
 	}
+	bdi, err := warped.NewCompressor("bdi")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if warped.ChooseEncoding(warped.ModeWarped, &w) != warped.Enc41 {
+		if bdi.Choose(0, &w) != warped.Enc41 {
 			b.Fatal("wrong encoding")
 		}
 	}
@@ -340,7 +344,7 @@ func BenchmarkCompressor(b *testing.B) {
 			var out core.WarpReg
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := comp.Choose(3, &w, core.ModeWarped)
+				e := comp.Choose(3, &w)
 				if e == core.EncUncompressed {
 					b.Fatal("uniform vector left uncompressed")
 				}

@@ -37,7 +37,7 @@ func main() {
 		format   = flag.String("format", "text", "output format: text or csv")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
 		smPar    = flag.Int("sm-parallel", 0, "SM-loop shards per simulation (0 = auto: CPUs/parallelism); results are byte-identical at every count")
-		compr    = flag.String("compression", "", "base compression for every exhibit: off, warped, only40, only41, only42, or a registered scheme ("+strings.Join(warped.CompressionSchemes(), ", ")+"); exhibits that pin their own mode still override it")
+		compr    = flag.String("compression", "", "base compression for every exhibit: off or a registered scheme ("+strings.Join(warped.CompressionSchemes(), ", ")+"); exhibits that pin their own compression still override it")
 		timeout  = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		retries  = flag.Int("retries", 0, "extra attempts per job after a transient failure")
 		backoff  = flag.Duration("retry-backoff", 0, "delay before the first retry, doubling each retry (default 100ms)")

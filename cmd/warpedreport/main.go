@@ -103,8 +103,8 @@ func main() {
 		out      = flag.String("o", "", "write the report to a file instead of stdout")
 		full     = flag.Bool("tables", false, "append the full per-benchmark tables after the summary")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
-	smPar    = flag.Int("sm-parallel", 0, "SM-loop shards per simulation (0 = auto: CPUs/parallelism); results are byte-identical at every count")
-		compr    = flag.String("compression", "", "base compression for every exhibit: off, warped, only40, only41, only42, or a registered scheme ("+strings.Join(warped.CompressionSchemes(), ", ")+")")
+		smPar    = flag.Int("sm-parallel", 0, "SM-loop shards per simulation (0 = auto: CPUs/parallelism); results are byte-identical at every count")
+		compr    = flag.String("compression", "", "base compression for every exhibit: off or a registered scheme ("+strings.Join(warped.CompressionSchemes(), ", ")+")")
 		timeout  = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		retries  = flag.Int("retries", 0, "extra attempts per job after a transient failure")
 		watchdog = flag.Duration("watchdog", 0, "cancel a simulation making no progress for this long (0 = off)")

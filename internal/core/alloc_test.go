@@ -15,6 +15,10 @@ func TestCompressionHotPathAllocFree(t *testing.T) {
 	data := make([]byte, 0, WarpBytes)
 	comp := make([]byte, 0, p.CompressedSize())
 	out := make([]byte, WarpBytes)
+	bdi, err := NewCompressor("bdi")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var failure string
 	allocs := testing.AllocsPerRun(200, func() {
@@ -29,7 +33,7 @@ func TestCompressionHotPathAllocFree(t *testing.T) {
 			failure = err.Error()
 			return
 		}
-		if ModeWarped.Choose(&w) != Enc41 {
+		if bdi.Choose(0, &w) != Enc41 {
 			failure = "unexpected encoding choice"
 		}
 	})
@@ -72,7 +76,7 @@ func TestSchemeHotPathAllocFree(t *testing.T) {
 
 			var failure string
 			allocs := testing.AllocsPerRun(200, func() {
-				e := c.Choose(3, &w, ModeWarped)
+				e := c.Choose(3, &w)
 				if e == EncUncompressed {
 					failure = "uniform vector left uncompressed"
 					return

@@ -7,7 +7,7 @@ import (
 
 // SchemeRegistryVersion names the compression-backend registry contract.
 // Scheme names registered under schemes/v1 are stable identifiers: they
-// appear in the cfg/v1 configuration signature, in the jobs/server API
+// appear in the cfg/v2 configuration signature, in the jobs/server API
 // (compression_scheme) and in exhibit column headers, so renaming or
 // re-meaning a registered scheme requires a registry version bump.
 const SchemeRegistryVersion = "schemes/v1"
@@ -30,7 +30,7 @@ const DefaultScheme = "bdi"
 // schemes ignore it, while table-driven schemes (static) use it to look up
 // the per-kernel encoding table.
 type Compressor interface {
-	// Name returns the registered scheme name ("bdi", "static", "fpc").
+	// Name returns the registered scheme name ("bdi", "fpc", ...).
 	Name() string
 	// NumClasses returns how many encoding classes the scheme uses,
 	// 1 <= NumClasses <= NumEncodings. Class 0 is always uncompressed.
@@ -45,8 +45,8 @@ type Compressor interface {
 	// losslessly. Class EncUncompressed is always compressible.
 	Compressible(vals *WarpReg, e Encoding) bool
 	// Choose returns the class the compressor stores for a full-warp
-	// write of vals to register reg under policy mode m.
-	Choose(reg int, vals *WarpReg, m Mode) Encoding
+	// write of vals to register reg.
+	Choose(reg int, vals *WarpReg) Encoding
 	// CompressInto appends the class-e image of vals to dst and returns
 	// the extended slice, or ok=false when vals does not fit class e.
 	// With a dst of sufficient capacity it performs no heap allocation.
@@ -143,7 +143,10 @@ func BankTable(c Compressor) [NumEncodings]int {
 }
 
 func init() {
-	RegisterScheme("bdi", func() Compressor { return bdiScheme{} })
+	RegisterScheme("bdi", func() Compressor { return bdiScheme{name: "bdi"} })
+	RegisterScheme("bdi40", func() Compressor { return bdiScheme{"bdi40", Enc40} })
+	RegisterScheme("bdi41", func() Compressor { return bdiScheme{"bdi41", Enc41} })
+	RegisterScheme("bdi42", func() Compressor { return bdiScheme{"bdi42", Enc42} })
 	RegisterScheme("static", func() Compressor { return &staticScheme{} })
 	RegisterScheme("fpc", func() Compressor { return fpcScheme{} })
 }

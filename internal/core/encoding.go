@@ -116,72 +116,6 @@ func (e Encoding) Params() Params {
 // IsCompressed reports whether the encoding is one of the compressed forms.
 func (e Encoding) IsCompressed() bool { return e != EncUncompressed }
 
-// Mode selects which compression policy the compressor applies; the modes
-// beyond ModeWarped exist for the paper's design-space exploration.
-type Mode uint8
-
-const (
-	// ModeOff disables compression entirely (the paper's baseline).
-	ModeOff Mode = iota
-	// ModeWarped is warped-compression: dynamically pick the smallest of
-	// <4,0>, <4,1>, <4,2>, else store uncompressed (paper default).
-	ModeWarped
-	// ModeOnly40 / ModeOnly41 / ModeOnly42 statically restrict the choice
-	// to a single parameter set (paper §6.6, Figs 15/16). ModeOnly40 is
-	// equivalent to scalarization [33].
-	ModeOnly40
-	ModeOnly41
-	ModeOnly42
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeOff:
-		return "off"
-	case ModeWarped:
-		return "warped"
-	case ModeOnly40:
-		return "only<4,0>"
-	case ModeOnly41:
-		return "only<4,1>"
-	case ModeOnly42:
-		return "only<4,2>"
-	}
-	return fmt.Sprintf("mode%d", uint8(m))
-}
-
-// Enabled reports whether the mode performs any compression.
-func (m Mode) Enabled() bool { return m != ModeOff }
-
-// Choose returns the encoding the compressor stores for a full-warp write of
-// vals under mode m. Lane similarity is evaluated with the first lane as the
-// base, mirroring the single-base hardware compressor of paper Figure 7.
-func (m Mode) Choose(vals *WarpReg) Encoding {
-	if m == ModeOff {
-		return EncUncompressed
-	}
-	width := deltaWidth(vals)
-	if width > 2 {
-		return EncUncompressed
-	}
-	best := [3]Encoding{Enc40, Enc41, Enc42}[width]
-	switch m {
-	case ModeWarped:
-		return best
-	case ModeOnly40:
-		if best == Enc40 {
-			return Enc40
-		}
-	case ModeOnly41:
-		if best == Enc40 || best == Enc41 {
-			return Enc41
-		}
-	case ModeOnly42:
-		return Enc42 // any width 0..2 fits in 2-byte deltas
-	}
-	return EncUncompressed
-}
-
 // deltaWidth computes the narrowest per-lane delta width (in bytes) that can
 // represent every lane of vals relative to lane 0. The three fixed BDI
 // choices nest — anything <4,0>-compressible is <4,1>-compressible, etc. —

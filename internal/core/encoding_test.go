@@ -33,7 +33,20 @@ func TestEncodingBanks(t *testing.T) {
 	}
 }
 
-func TestModeWarpedChoice(t *testing.T) {
+// mustScheme builds a registered compressor or fails the test.
+func mustScheme(t *testing.T, name string) Compressor {
+	t.Helper()
+	c, err := NewCompressor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestBDIDynamicChoice: the dynamic bdi scheme (the paper's warped policy)
+// stores the smallest fixed choice that fits.
+func TestBDIDynamicChoice(t *testing.T) {
+	bdi := mustScheme(t, "bdi")
 	cases := []struct {
 		name string
 		vals *WarpReg
@@ -54,50 +67,53 @@ func TestModeWarpedChoice(t *testing.T) {
 		}(), EncUncompressed},
 	}
 	for _, c := range cases {
-		if got := ModeWarped.Choose(c.vals); got != c.want {
-			t.Errorf("%s: ModeWarped.Choose = %s, want %s", c.name, got, c.want)
+		if got := bdi.Choose(0, c.vals); got != c.want {
+			t.Errorf("%s: bdi Choose = %s, want %s", c.name, got, c.want)
 		}
 	}
 }
 
-func TestModeOffNeverCompresses(t *testing.T) {
-	if ModeOff.Choose(affineReg(0, 0)) != EncUncompressed {
-		t.Fatal("ModeOff must store uncompressed")
+// TestOffIsNotAScheme: "off" is a value of the configuration's
+// compression axis, not a codec, so no backend may be registered under it.
+func TestOffIsNotAScheme(t *testing.T) {
+	if SchemeRegistered("off") {
+		t.Fatal(`"off" must not be a registered scheme`)
 	}
-	if ModeOff.Enabled() {
-		t.Fatal("ModeOff must not be enabled")
+	if _, err := NewCompressor("off"); err == nil {
+		t.Fatal(`NewCompressor("off") must fail`)
 	}
 }
 
-// TestSingleChoiceModes: ModeOnly40 only accepts exactly-uniform registers;
-// ModeOnly41 accepts <=1-byte deltas but stores them as <4,1>; ModeOnly42
-// accepts anything up to 2-byte deltas.
+// TestSingleChoiceModes: bdi40 only accepts exactly-uniform registers;
+// bdi41 accepts <=1-byte deltas but stores them as <4,1>; bdi42 accepts
+// anything up to 2-byte deltas.
 func TestSingleChoiceModes(t *testing.T) {
 	uniform, stride1, stride300 := affineReg(5, 0), affineReg(5, 1), affineReg(5, 300)
 	random := affineReg(5, 1<<20)
 
-	check := func(m Mode, vals *WarpReg, want Encoding) {
+	check := func(name string, vals *WarpReg, want Encoding) {
 		t.Helper()
-		if got := m.Choose(vals); got != want {
-			t.Errorf("%s.Choose = %s, want %s", m, got, want)
+		if got := mustScheme(t, name).Choose(0, vals); got != want {
+			t.Errorf("%s Choose = %s, want %s", name, got, want)
 		}
 	}
-	check(ModeOnly40, uniform, Enc40)
-	check(ModeOnly40, stride1, EncUncompressed)
-	check(ModeOnly41, uniform, Enc41) // stored with 1-byte deltas anyway
-	check(ModeOnly41, stride1, Enc41)
-	check(ModeOnly41, stride300, EncUncompressed)
-	check(ModeOnly42, uniform, Enc42)
-	check(ModeOnly42, stride300, Enc42)
-	check(ModeOnly42, random, EncUncompressed)
+	check("bdi40", uniform, Enc40)
+	check("bdi40", stride1, EncUncompressed)
+	check("bdi41", uniform, Enc41) // stored with 1-byte deltas anyway
+	check("bdi41", stride1, Enc41)
+	check("bdi41", stride300, EncUncompressed)
+	check("bdi42", uniform, Enc42)
+	check("bdi42", stride300, Enc42)
+	check("bdi42", random, EncUncompressed)
 }
 
 // TestChooseAgreesWithBDI: the fast single-pass Choose must agree with the
 // generic BDI Compressible predicate for each fixed parameter set.
 func TestChooseAgreesWithBDI(t *testing.T) {
+	bdi := mustScheme(t, "bdi")
 	f := func(w WarpReg) bool {
 		data := w.Bytes()
-		enc := ModeWarped.Choose(&w)
+		enc := bdi.Choose(0, &w)
 		switch enc {
 		case Enc40:
 			return Compressible(data, Params{4, 0})

@@ -2,13 +2,21 @@ package core
 
 import "fmt"
 
-// bdiScheme is the paper's compressor: dynamic base-delta-immediate over the
-// three fixed parameter choices <4,0>, <4,1>, <4,2> (Figure 7). It is the
-// DefaultScheme; its Choose is exactly Mode.Choose, so configurations that
-// predate the registry keep byte-identical results.
-type bdiScheme struct{}
+// bdiScheme is the paper's compressor: base-delta-immediate over the three
+// fixed parameter choices <4,0>, <4,1>, <4,2> (Figure 7). It is registered
+// four times: "bdi" picks the smallest fitting choice dynamically (the
+// DefaultScheme), and "bdi40", "bdi41" and "bdi42" are the paper's §6.6
+// fixed-choice designs (Figs 15/16), which store every register that fits
+// the one parameter set under it and leave the rest uncompressed. "bdi40"
+// is equivalent to scalarization [33].
+type bdiScheme struct {
+	name string
+	// fixed is the single encoding a fixed-choice design stores, or
+	// EncUncompressed for the dynamic choice.
+	fixed Encoding
+}
 
-func (bdiScheme) Name() string    { return "bdi" }
+func (s bdiScheme) Name() string  { return s.name }
 func (bdiScheme) NumClasses() int { return NumEncodings }
 
 func (bdiScheme) ClassName(e Encoding) string { return e.String() }
@@ -23,8 +31,23 @@ func (bdiScheme) Compressible(vals *WarpReg, e Encoding) bool {
 	return deltaWidth(vals) <= int(e.Params().Delta)
 }
 
-func (bdiScheme) Choose(reg int, vals *WarpReg, m Mode) Encoding {
-	return m.Choose(vals)
+// Choose evaluates lane similarity with the first lane as the base,
+// mirroring the single-base hardware compressor of paper Figure 7.
+func (s bdiScheme) Choose(reg int, vals *WarpReg) Encoding {
+	width := deltaWidth(vals)
+	if width > 2 {
+		return EncUncompressed
+	}
+	best := [3]Encoding{Enc40, Enc41, Enc42}[width]
+	switch {
+	case s.fixed == EncUncompressed:
+		return best
+	case best <= s.fixed:
+		// The choices nest, so a narrower fit also fits the fixed
+		// parameter set (stored with its wider deltas).
+		return s.fixed
+	}
+	return EncUncompressed
 }
 
 func (bdiScheme) CompressInto(dst []byte, vals *WarpReg, e Encoding) ([]byte, bool) {

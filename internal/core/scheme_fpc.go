@@ -85,10 +85,7 @@ func (fpcScheme) Compressible(vals *WarpReg, e Encoding) bool {
 	return false
 }
 
-func (s fpcScheme) Choose(reg int, vals *WarpReg, m Mode) Encoding {
-	if !m.Enabled() {
-		return EncUncompressed
-	}
+func (s fpcScheme) Choose(reg int, vals *WarpReg) Encoding {
 	// The patterns nest only partially (zero ⊂ repeat, zero ⊂ narrow), so
 	// probe smallest-first: zero and repeat tie on size but zero needs no
 	// base read on decompression.

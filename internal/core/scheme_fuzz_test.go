@@ -7,7 +7,9 @@ import (
 
 // FuzzSchemeRoundTrip drives every registered backend (schemes/v1) with
 // arbitrary warp images: Choose must pick a class the compressibility probe
-// accepts, CompressInto must agree with Compressible and either fail
+// accepts, each fixed-choice bdi design must compress exactly the
+// registers whose dynamic bdi choice nests inside its parameter set,
+// CompressInto must agree with Compressible and either fail
 // cleanly (ok=false) or round-trip exactly at the advertised size, bank
 // counts must stay physical, and truncated images must be rejected rather
 // than crash.
@@ -28,6 +30,7 @@ func FuzzSchemeRoundTrip(f *testing.F) {
 		for i := range vals {
 			vals[i] = binary.LittleEndian.Uint32(data[4*i:])
 		}
+		dyn := bdiScheme{name: "bdi"}.Choose(0, &vals)
 		for _, name := range Schemes() {
 			comp, err := NewCompressor(name)
 			if err != nil {
@@ -46,13 +49,19 @@ func FuzzSchemeRoundTrip(f *testing.F) {
 				t.Fatalf("%s: NumClasses = %d", name, n)
 			}
 			for reg := 0; reg < 8; reg++ {
-				e := comp.Choose(reg, &vals, ModeWarped)
+				e := comp.Choose(reg, &vals)
 				if !comp.Compressible(&vals, e) {
 					t.Fatalf("%s: Choose(reg %d) = %v but the probe rejects it", name, reg, e)
 				}
 			}
-			if e := comp.Choose(0, &vals, ModeOff); e != EncUncompressed {
-				t.Fatalf("%s: ModeOff chose %v, want uncompressed", name, e)
+			if b, ok := comp.(bdiScheme); ok && b.fixed != EncUncompressed {
+				want := EncUncompressed
+				if dyn != EncUncompressed && dyn <= b.fixed {
+					want = b.fixed
+				}
+				if e := comp.Choose(0, &vals); e != want {
+					t.Fatalf("%s: chose %v where dynamic bdi chose %v, want %v", name, e, dyn, want)
+				}
 			}
 			buf := make([]byte, 0, WarpBytes)
 			for ci := 0; ci < comp.NumClasses(); ci++ {

@@ -33,10 +33,7 @@ func (s *staticScheme) BindTable(table []Encoding) {
 	s.table = append(s.table[:0], table...)
 }
 
-func (s *staticScheme) Choose(reg int, vals *WarpReg, m Mode) Encoding {
-	if !m.Enabled() {
-		return EncUncompressed
-	}
+func (s *staticScheme) Choose(reg int, vals *WarpReg) Encoding {
 	if reg < 0 || reg >= len(s.table) {
 		return EncUncompressed
 	}

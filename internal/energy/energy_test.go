@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
 )
 
 func almost(a, b float64) bool {
@@ -122,5 +124,20 @@ func TestEventsAdd(t *testing.T) {
 	}
 	if a.Cycles != 100 {
 		t.Fatalf("cycles should take max, got %d", a.Cycles)
+	}
+}
+
+// TestSchemeCostsCoverRegistry: every registered compression backend has an
+// explicit cost entry, so CostOfScheme never silently falls back to bdi's.
+func TestSchemeCostsCoverRegistry(t *testing.T) {
+	for _, name := range core.Schemes() {
+		if _, ok := schemeCosts[name]; !ok {
+			t.Errorf("scheme %q has no schemeCosts entry", name)
+		}
+	}
+	for _, name := range []string{"bdi40", "bdi41", "bdi42"} {
+		if CostOfScheme(name) != CostOfScheme("bdi") {
+			t.Errorf("%s costs %+v, want the bdi Table 3 values", name, CostOfScheme(name))
+		}
 	}
 }

@@ -17,19 +17,26 @@ type SchemeCost struct {
 	DecompressLatency int // cycles per decompression
 }
 
+// bdiCost is the paper's BDI compressor: a 31-way parallel subtractor tree
+// plus a priority select over three candidate widths (Table 3, Fig 20/21
+// default latencies).
+var bdiCost = SchemeCost{
+	CompActPJ:         23,
+	DecompActPJ:       21,
+	CompLeakMW:        0.12,
+	DecompLeakMW:      0.08,
+	CompressLatency:   2,
+	DecompressLatency: 1,
+}
+
 // schemeCosts is keyed by registered scheme name.
 var schemeCosts = map[string]SchemeCost{
-	// The paper's BDI compressor: a 31-way parallel subtractor tree plus a
-	// priority select over three candidate widths (Table 3, Fig 20/21
-	// default latencies).
-	"bdi": {
-		CompActPJ:         23,
-		DecompActPJ:       21,
-		CompLeakMW:        0.12,
-		DecompLeakMW:      0.08,
-		CompressLatency:   2,
-		DecompressLatency: 1,
-	},
+	"bdi": bdiCost,
+	// The §6.6 fixed-choice designs keep the same units: the paper
+	// evaluates Figs 15/16 with Table 3 unchanged.
+	"bdi40": bdiCost,
+	"bdi41": bdiCost,
+	"bdi42": bdiCost,
 	// Static/profile-guided (Angerd): the encoding choice is a table read,
 	// so only the fit-check subtractors remain on the compress path and one
 	// pipeline stage disappears; the BDI decompressor is unchanged.

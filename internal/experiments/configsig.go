@@ -10,7 +10,7 @@ import (
 // emits. Bump it whenever the format changes — when a field is added to or
 // removed from the signature, or an existing field's rendering changes —
 // so persisted caches keyed by old signatures can never alias new ones.
-const ConfigSignatureVersion = "cfg/v1"
+const ConfigSignatureVersion = "cfg/v2"
 
 // ConfigSignature renders a sim.Config as a stable, versioned string that
 // is equal exactly when two configurations produce identical simulations.
@@ -25,23 +25,22 @@ const ConfigSignatureVersion = "cfg/v1"
 // enforces coverage field by field.
 func ConfigSignature(c *sim.Config) string {
 	return ConfigSignatureVersion + ":" +
-		fmt.Sprintf("m%d g%t s%s cl%d dl%d ch%t sm%d w%d cta%d col%d c%d d%d wake%d dp%s",
-			c.Mode, c.PowerGating, c.Scheduler, c.CompressLatency, c.DecompressLatency,
+		fmt.Sprintf("c%s g%t s%s cl%d dl%d ch%t sm%d w%d cta%d col%d c%d d%d wake%d dp%s",
+			c.CompressionScheme(), c.PowerGating, c.Scheduler, c.CompressLatency, c.DecompressLatency,
 			c.CharacterizeWrites, c.NumSMs, c.MaxWarpsPerSM, c.MaxCTAsPerSM, c.Collectors,
 			c.Compressors, c.Decompressors, c.BankWakeupLatency, c.DivergencePolicy) +
-		fmt.Sprintf(" sch%d alu%d sfu%d gm%d gl%d gi%d sl%d l1%d/%d/%d rfc%d drw%d mc%d ep%d cs%s flt{%s}",
+		fmt.Sprintf(" sch%d alu%d sfu%d gm%d gl%d gi%d sl%d l1%d/%d/%d rfc%d drw%d mc%d ep%d flt{%s}",
 			c.SchedulersPerSM, c.ALULatency, c.SFULatency,
 			c.GlobalMemBytes, c.GlobalLatency, c.GlobalMaxInflight, c.SharedLatency,
 			c.L1SizeKB, c.L1Ways, c.L1HitLatency,
 			c.RFCEntries, c.DrowsyAfter, c.MaxCycles, c.SMEpoch,
-			c.CompressionScheme(), c.Faults.String())
+			c.Faults.String())
 }
 
-// The compression scheme is signed through the CompressionScheme accessor,
+// The compression axis is signed through the CompressionScheme accessor,
 // not the raw field, so the legacy empty spelling and "bdi" share one cache
-// identity (they run the identical simulation). Inserting the cs token did
-// not need a version bump: a cfg/v1 string with the token can never equal
-// one without it, so old persisted keys miss instead of aliasing.
+// identity (they run the identical simulation). Its one c<value> token made
+// the format cfg/v2, so keys persisted under cfg/v1 miss, never alias.
 
 // SMParallel is deliberately absent: the epoch-barrier commit protocol makes
 // results byte-identical at every shard count (the determinism oracle in

@@ -16,7 +16,7 @@ func TestConfigSignatureVersioned(t *testing.T) {
 	if !strings.HasPrefix(s, ConfigSignatureVersion+":") {
 		t.Fatalf("signature %q missing version prefix %q", s, ConfigSignatureVersion)
 	}
-	if ConfigSignatureVersion != "cfg/v1" {
+	if ConfigSignatureVersion != "cfg/v2" {
 		t.Fatalf("ConfigSignatureVersion = %q; bumping it invalidates every persisted cache key — make sure that is intended, then update this test", ConfigSignatureVersion)
 	}
 }
@@ -83,11 +83,11 @@ func TestConfigSignatureCoversConfig(t *testing.T) {
 	}
 }
 
-// TestConfigSignatureCompressionScheme pins the scheme-identity contract:
-// the legacy empty spelling and the explicit default scheme run the same
-// simulation and must share one cache identity, while every other
-// registered scheme must get its own (result/store caches may never alias
-// across schemes).
+// TestConfigSignatureCompressionScheme pins the compression-axis identity
+// contract: the legacy empty spelling and the explicit default scheme run
+// the same simulation and must share one cache identity, while each of the
+// seven axis values must get its own (result/store caches may never alias
+// across them).
 func TestConfigSignatureCompressionScheme(t *testing.T) {
 	base := sim.DefaultConfig()
 	want := ConfigSignature(&base)
@@ -97,12 +97,19 @@ func TestConfigSignatureCompressionScheme(t *testing.T) {
 	if got := ConfigSignature(&bdi); got != want {
 		t.Errorf("empty Compression and %q must share a signature:\n  %q\n  %q", "bdi", want, got)
 	}
-	for _, scheme := range []string{"static", "fpc"} {
+	values := []string{"off", "bdi", "bdi40", "bdi41", "bdi42", "fpc", "static"}
+	if got := sim.CompressionValues(); !reflect.DeepEqual(got, values) {
+		t.Fatalf("compression axis = %v, want %v", got, values)
+	}
+	seen := map[string]string{}
+	for _, v := range values {
 		mod := base
-		mod.Compression = scheme
-		if got := ConfigSignature(&mod); got == want {
-			t.Errorf("scheme %q aliases the default scheme's signature %q", scheme, got)
+		mod.Compression = v
+		s := ConfigSignature(&mod)
+		if prev, dup := seen[s]; dup {
+			t.Errorf("compression %q aliases %q: %q", v, prev, s)
 		}
+		seen[s] = v
 	}
 }
 

@@ -181,6 +181,32 @@ func TestDesignSpaceFigures(t *testing.T) {
 			t.Fatalf("%s: <4,0>-only ratio %v beats warped %v", row.Label, only40, warped)
 		}
 	}
+	// Figs 15/16 are BDI design points: under any base compression they
+	// must reproduce the default-base tables.
+	rendered := func(compression string) string {
+		base := sim.DefaultConfig()
+		base.NumSMs = 4
+		base.Compression = compression
+		r := mustNew(t, context.Background(),
+			WithScale(kernels.Small), WithBenchmarks("bfs"), WithBaseConfig(base))
+		var sb strings.Builder
+		for _, id := range []string{"fig15", "fig16"} {
+			tab, err := r.Run(id)
+			if err != nil {
+				t.Fatalf("%s under base compression %q: %v", id, compression, err)
+			}
+			if err := tab.Render(&sb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sb.String()
+	}
+	want := rendered("")
+	for _, compression := range []string{"fpc", "static"} {
+		if got := rendered(compression); got != want {
+			t.Errorf("figs 15/16 under base compression %q:\n%s\nwant (default base):\n%s", compression, got, want)
+		}
+	}
 	f19, err := r.Run("fig19")
 	if err != nil {
 		t.Fatal(err)

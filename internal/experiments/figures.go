@@ -370,16 +370,10 @@ func (r *Runner) Fig14() (*Table, error) {
 	return t, nil
 }
 
-// compressionModes are the Fig 15/16 design-space policies in paper order.
-var compressionModes = []struct {
-	col  string
-	mode core.Mode
-}{
-	{"<4,0>", core.ModeOnly40},
-	{"<4,1>", core.ModeOnly41},
-	{"<4,2>", core.ModeOnly42},
-	{"warped", core.ModeWarped},
-}
+// designSchemes are the Fig 15/16 design points in paper column order: the
+// three fixed-choice bdi designs, then dynamic warped-compression. They are
+// BDI points whatever the runner's base compression.
+var designSchemes = []string{"bdi40", "bdi41", "bdi42", "bdi"}
 
 // Fig15 is the compression ratio achieved when restricting the compressor
 // to a single parameter choice.
@@ -391,10 +385,10 @@ func (r *Runner) Fig15() (*Table, error) {
 		Notes:   "overall (both phases); paper: <4,0>-only (scalarization) is ~30% below warped-compression",
 	}
 	rows := map[string][]float64{}
-	for i, mc := range compressionModes {
-		err := r.forEach(r.cfgMode(mc.mode), func(b *kernels.Benchmark, res *sim.Result) error {
+	for i, scheme := range designSchemes {
+		err := r.forEach(r.cfgCompression(scheme), func(b *kernels.Benchmark, res *sim.Result) error {
 			if rows[b.Name] == nil {
-				rows[b.Name] = make([]float64, len(compressionModes))
+				rows[b.Name] = make([]float64, len(designSchemes))
 			}
 			s := res.Stats
 			orig := s.WriteOrigBanks[0] + s.WriteOrigBanks[1]
@@ -438,10 +432,10 @@ func (r *Runner) Fig16() (*Table, error) {
 		return nil, err
 	}
 	rows := map[string][]float64{}
-	for i, mc := range compressionModes {
-		err := r.forEach(r.cfgMode(mc.mode), func(b *kernels.Benchmark, res *sim.Result) error {
+	for i, scheme := range designSchemes {
+		err := r.forEach(r.cfgCompression(scheme), func(b *kernels.Benchmark, res *sim.Result) error {
 			if rows[b.Name] == nil {
-				rows[b.Name] = make([]float64, len(compressionModes))
+				rows[b.Name] = make([]float64, len(designSchemes))
 			}
 			rows[b.Name][i] = energy.Compute(params, res.Energy).TotalPJ() / base[b.Name]
 			return nil

@@ -2,17 +2,15 @@ package experiments
 
 import (
 	"testing"
-
-	"repro/internal/core"
 )
 
 // TestGemmTilingExhibits runs the gemm1-tiling family and checks the
 // properties the family exists to demonstrate: ladder row order, one column
-// per registered scheme, shared-memory serialization falling to zero along
+// per compared scheme, shared-memory serialization falling to zero along
 // the ladder and register pressure rising monotonically.
 func TestGemmTilingExhibits(t *testing.T) {
 	r := fastRunner(t) // benchmark selection is ignored: the family is fixed
-	schemes := core.Schemes()
+	schemes := schemeColumns()
 
 	shared, err := r.Run("gemm1-tiling-shared")
 	if err != nil {

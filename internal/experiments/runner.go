@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/kernels"
 	"repro/internal/sim"
@@ -66,7 +65,7 @@ func (r *Runner) cfgWarped() sim.Config { return r.baseConfig() }
 
 func (r *Runner) cfgBaseline() sim.Config {
 	c := r.baseConfig()
-	c.Mode = core.ModeOff
+	c.Compression = sim.CompressionOff
 	c.PowerGating = false
 	return c
 }
@@ -90,20 +89,19 @@ func (r *Runner) cfgScheduler(policy string, compressed bool) sim.Config {
 	return c
 }
 
-func (r *Runner) cfgMode(m core.Mode) sim.Config {
+// cfgCompression is the base config running a specific registered backend,
+// even when the runner's base config disables compression.
+func (r *Runner) cfgCompression(scheme string) sim.Config {
 	c := r.cfgWarped()
-	c.Mode = m
+	c.Compression = scheme
 	return c
 }
 
-// cfgScheme is warped-compression running a specific registered backend at
-// that backend's own codec latencies (energy.CostOfScheme). Mode is pinned
-// to warped so the cmp1-schemes family compares schemes, not modes, even
-// when the runner's base config disables compression.
+// cfgScheme is cfgCompression at that backend's own codec latencies
+// (energy.CostOfScheme), so the cmp1-schemes family compares schemes with
+// their own hardware costs.
 func (r *Runner) cfgScheme(scheme string) sim.Config {
-	c := r.cfgWarped()
-	c.Mode = core.ModeWarped
-	c.Compression = scheme
+	c := r.cfgCompression(scheme)
 	cost := energy.CostOfScheme(scheme)
 	c.CompressLatency = cost.CompressLatency
 	c.DecompressLatency = cost.DecompressLatency

@@ -4,20 +4,19 @@ package experiments
 // backends (schemes/v1: bdi, fpc, static) head to head on the full suite —
 // the repo's first beyond-the-paper results. Each exhibit runs one
 // simulation per scheme per benchmark through the engine's record-once /
-// replay-N path and the single-flight memo cache; the cs token in cfg/v1
-// keeps the per-scheme results from ever aliasing.
+// replay-N path and the single-flight memo cache; the compression token in
+// the cfg/v2 signature keeps the per-scheme results from ever aliasing.
 
 import (
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/kernels"
 	"repro/internal/sim"
 )
 
-// schemeColumns lists every registered scheme in registry (sorted) order —
-// the column order of all cmp1-schemes tables. Registering a new scheme
-// extends the family automatically.
-func schemeColumns() []string { return core.Schemes() }
+// schemeColumns lists the compared backends — the column order of all
+// cmp1-schemes and gemm1-tiling tables. The fixed-choice bdi designs are
+// BDI design points, not rival schemes; Figs 15/16 compare them.
+func schemeColumns() []string { return []string{"bdi", "fpc", "static"} }
 
 // SchemesRatio (cmp1-schemes-ratio) is the overall write compression ratio
 // each scheme achieves: original write banks / compressed write banks,

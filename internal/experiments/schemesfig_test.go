@@ -5,19 +5,18 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/sim"
 )
 
 // TestSchemesExhibits runs the cmp1-schemes family on the fast suite and
-// checks shape and sanity: one column per registered scheme, every ratio
+// checks shape and sanity: one column per compared scheme, every ratio
 // >= 1 (no scheme can expand writes — every class uses at most the
 // uncompressed bank count), and normalized energy/cycles in plausible
 // ranges.
 func TestSchemesExhibits(t *testing.T) {
 	r := fastRunner(t)
-	schemes := core.Schemes()
+	schemes := schemeColumns()
 
 	ratio, err := r.Run("cmp1-schemes-ratio")
 	if err != nil {

@@ -3,7 +3,6 @@ package kernels
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -33,11 +32,11 @@ func runAndCheck(t *testing.T, name string, cfg sim.Config) *sim.Result {
 	return res
 }
 
-func testCfg(mode core.Mode) sim.Config {
+func testCfg(compression string) sim.Config {
 	c := sim.DefaultConfig()
 	c.NumSMs = 4
-	c.Mode = mode
-	c.PowerGating = mode.Enabled()
+	c.Compression = compression
+	c.PowerGating = c.Compresses()
 	c.MaxCycles = 20_000_000
 	return c
 }
@@ -49,23 +48,23 @@ func TestAllBenchmarksCorrect(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name+"/warped", func(t *testing.T) {
-			runAndCheck(t, b.Name, testCfg(core.ModeWarped))
+			runAndCheck(t, b.Name, testCfg("bdi"))
 		})
 		t.Run(b.Name+"/baseline", func(t *testing.T) {
-			runAndCheck(t, b.Name, testCfg(core.ModeOff))
+			runAndCheck(t, b.Name, testCfg(sim.CompressionOff))
 		})
 		t.Run(b.Name+"/lrr", func(t *testing.T) {
-			c := testCfg(core.ModeWarped)
+			c := testCfg("bdi")
 			c.Scheduler = "lrr"
 			runAndCheck(t, b.Name, c)
 		})
 		t.Run(b.Name+"/recompress", func(t *testing.T) {
-			c := testCfg(core.ModeWarped)
+			c := testCfg("bdi")
 			c.DivergencePolicy = "recompress"
 			runAndCheck(t, b.Name, c)
 		})
 		t.Run(b.Name+"/rfc", func(t *testing.T) {
-			c := testCfg(core.ModeOff)
+			c := testCfg(sim.CompressionOff)
 			c.RFCEntries = 6
 			runAndCheck(t, b.Name, c)
 		})
@@ -100,8 +99,8 @@ func TestBenchmarkRegistry(t *testing.T) {
 // harness depends on exact reproducibility.
 func TestDeterminism(t *testing.T) {
 	for _, name := range []string{"bfs", "pathfinder", "histo"} {
-		a := runAndCheck(t, name, testCfg(core.ModeWarped))
-		b := runAndCheck(t, name, testCfg(core.ModeWarped))
+		a := runAndCheck(t, name, testCfg("bdi"))
+		b := runAndCheck(t, name, testCfg("bdi"))
 		if a.Cycles != b.Cycles {
 			t.Fatalf("%s: cycles differ across runs: %d vs %d", name, a.Cycles, b.Cycles)
 		}

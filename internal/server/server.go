@@ -96,11 +96,11 @@ func (s *Server) SetSSEKeepAlive(d time.Duration) {
 	}
 }
 
-// SetDefaultCompression sets the compression scheme jobs run under when
-// neither the request's compression_scheme field nor its config overrides
-// pick one (the -compression flag of warpedd). Call it before serving
-// traffic with a name core.SchemeRegistered accepts; the empty default
-// keeps the preset's scheme.
+// SetDefaultCompression sets the compression jobs run under when neither
+// the request's compression_scheme field, its config overrides nor its
+// preset pick one (the -compression flag of warpedd). Call it before
+// serving traffic with "off" or a registered scheme; the empty default
+// keeps the preset's value. The baseline preset is always "off".
 func (s *Server) SetDefaultCompression(scheme string) {
 	s.defaultCompression = scheme
 }
@@ -194,8 +194,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // submitRequest is the POST /v1/jobs body. Config starts from the named
 // preset ("warped", the paper configuration, unless "baseline" is asked
 // for) and the optional config object overrides individual sim.Config
-// fields by their Go names, e.g. {"CompressLatency": 4}. Mode and
-// trace_ref are additive: omitted (or "execute") keeps the classic full
+// fields by their Go names, e.g. {"CompressLatency": 4}; an unknown key
+// (such as the retired "Mode") is rejected with 400. The mode and
+// trace_ref fields are additive: omitted (or "execute") keeps the classic full
 // simulation; "record" also captures a warped.trace/v1 recording and
 // reports its ref in the job view, and "replay" re-times a recorded ref
 // under this request's configuration. Unknown modes are rejected with 400,
@@ -211,11 +212,12 @@ type submitRequest struct {
 	// -sm-parallel policy; negative is rejected. Purely a performance
 	// knob — results are byte-identical at every shard count.
 	SMParallel *int `json:"sm_parallel"`
-	// CompressionScheme selects the registered compression backend for
-	// this job (sim.Config.Compression: "bdi", "static", "fpc"). Additive:
-	// omitted keeps the preset's scheme (or the server's -compression
-	// default); unknown schemes are rejected with 400. It applies after
-	// config overrides, so it wins over a Compression key in config.
+	// CompressionScheme selects the job's compression
+	// (sim.Config.Compression): "off" or a registered scheme such as
+	// "bdi", "bdi40" or "fpc". Additive: omitted keeps the preset's value
+	// (or the server's -compression default when that is unset); unknown
+	// values are rejected with 400. It applies after config overrides, so
+	// it wins over a Compression key in config.
 	CompressionScheme string `json:"compression_scheme"`
 }
 

@@ -201,7 +201,7 @@ func TestSubmitRoundTrip(t *testing.T) {
 	if done.Result == nil || done.Result.Cycles == 0 {
 		t.Fatalf("done without a result: %+v", done)
 	}
-	if done.Signature == "" || !strings.HasPrefix(done.Signature, "cfg/v1:") {
+	if done.Signature == "" || !strings.HasPrefix(done.Signature, "cfg/v2:") {
 		t.Fatalf("unversioned signature: %q", done.Signature)
 	}
 }
@@ -220,6 +220,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown top-level field", `{"benchmark": "zz-srv", "cfg": {}}`},
 		{"negative sm_parallel", `{"benchmark": "zz-srv", "sm_parallel": -2}`},
 		{"unknown compression scheme", `{"benchmark": "zz-srv", "compression_scheme": "zstd"}`},
+		{"retired compression spelling warped", `{"benchmark": "zz-srv", "compression_scheme": "warped"}`},
+		{"retired compression spelling only40", `{"benchmark": "zz-srv", "compression_scheme": "only40"}`},
+		{"retired Mode config key", submitBody(`"Mode": 0`)},
 	}
 	for _, tc := range cases {
 		postJob(t, ts, tc.body, http.StatusBadRequest)
@@ -256,9 +259,9 @@ func TestSubmitSMParallel(t *testing.T) {
 }
 
 // TestSubmitCompressionScheme: the additive compression_scheme field
-// picks a registered backend for one job. Unlike sm_parallel, the scheme
-// changes what the simulation computes, so the job must NOT share its
-// cfg/v1 signature (or cache entry) with a default-scheme submission.
+// picks any value of the compression axis for one job. Unlike sm_parallel,
+// it changes what the simulation computes, so the job must NOT share its
+// cfg/v2 signature (or cache entry) with a default-scheme submission.
 func TestSubmitCompressionScheme(t *testing.T) {
 	mgr := jobs.NewManager(context.Background(), jobs.Config{Workers: 1, QueueDepth: 4, CacheSize: 4})
 	t.Cleanup(mgr.Close)
@@ -272,7 +275,7 @@ func TestSubmitCompressionScheme(t *testing.T) {
 	if fpcDone.Result == nil || fpcDone.Result.Cycles == 0 {
 		t.Fatalf("fpc job finished without a result: %+v", fpcDone)
 	}
-	if !strings.Contains(fpcDone.Signature, "csfpc") {
+	if !strings.Contains(fpcDone.Signature, ":cfpc ") {
 		t.Fatalf("signature does not carry the scheme: %q", fpcDone.Signature)
 	}
 
@@ -283,15 +286,32 @@ func TestSubmitCompressionScheme(t *testing.T) {
 	if plainDone.Signature == fpcDone.Signature {
 		t.Fatalf("scheme did not change the signature: %q", fpcDone.Signature)
 	}
-	if !strings.Contains(plainDone.Signature, "csstatic") {
+	if !strings.Contains(plainDone.Signature, ":cstatic ") {
 		t.Fatalf("server default scheme not applied: %q", plainDone.Signature)
 	}
 
 	// Explicit config overrides beat the server default.
 	over := postJob(t, ts, submitBody(`"Compression": "bdi"`), http.StatusAccepted)
 	overDone := waitJobState(t, ts, over.ID, jobs.StateDone)
-	if strings.Contains(overDone.Signature, "csstatic") {
+	if !strings.Contains(overDone.Signature, ":cbdi ") {
 		t.Fatalf("server default overrode explicit config: %q", overDone.Signature)
+	}
+
+	// The baseline preset is "off" itself, so the server default never
+	// relabels it.
+	base := postJob(t, ts, `{"benchmark": "zz-srv", "preset": "baseline", "config": {"NumSMs": 2}}`, http.StatusAccepted)
+	baseDone := waitJobState(t, ts, base.ID, jobs.StateDone)
+	if !strings.Contains(baseDone.Signature, ":coff ") {
+		t.Fatalf("server default relabelled the baseline preset: %q", baseDone.Signature)
+	}
+
+	// Every axis value is accepted, including off and the fixed-choice
+	// bdi designs.
+	for _, v := range []string{"off", "bdi40"} {
+		j := postJob(t, ts, fmt.Sprintf(`{"benchmark": "zz-srv", "config": {"NumSMs": 2}, "compression_scheme": %q}`, v), http.StatusAccepted)
+		if d := waitJobState(t, ts, j.ID, jobs.StateDone); !strings.Contains(d.Signature, ":c"+v+" ") {
+			t.Fatalf("compression_scheme %q not applied: %q", v, d.Signature)
+		}
 	}
 }
 

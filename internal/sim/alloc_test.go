@@ -144,8 +144,8 @@ func TestChooseEncMemo(t *testing.T) {
 	res.unchanged = true
 
 	// First classification populates the cache even on the unchanged path.
-	want := core.ModeWarped.Choose(&res.dstVals)
-	if got := s.chooseEnc(w, dst, &res, core.ModeWarped); got != want {
+	want := comp.Choose(int(dst), &res.dstVals)
+	if got := s.chooseEnc(w, dst, &res); got != want {
 		t.Fatalf("cold chooseEnc = %v, want %v", got, want)
 	}
 	if w.encValid&(1<<dst) == 0 {
@@ -154,13 +154,13 @@ func TestChooseEncMemo(t *testing.T) {
 
 	// Poison the entry: an unchanged value must hit the memo, not rescan.
 	w.encCache[dst] = core.EncUncompressed
-	if got := s.chooseEnc(w, dst, &res, core.ModeWarped); got != core.EncUncompressed {
+	if got := s.chooseEnc(w, dst, &res); got != core.EncUncompressed {
 		t.Fatalf("unchanged value rescanned (got %v); memo not consulted", got)
 	}
 
 	// A changed value bypasses the memo and repairs the entry.
 	res.unchanged = false
-	if got := s.chooseEnc(w, dst, &res, core.ModeWarped); got != want {
+	if got := s.chooseEnc(w, dst, &res); got != want {
 		t.Fatalf("changed value chooseEnc = %v, want %v", got, want)
 	}
 	if w.encCache[dst] != want {
@@ -172,7 +172,7 @@ func TestChooseEncMemo(t *testing.T) {
 	res.unchanged = true
 	w.encValid &^= 1 << dst
 	w.encCache[dst] = core.EncUncompressed
-	if got := s.chooseEnc(w, dst, &res, core.ModeWarped); got != want {
+	if got := s.chooseEnc(w, dst, &res); got != want {
 		t.Fatalf("invalidated entry chooseEnc = %v, want %v", got, want)
 	}
 }

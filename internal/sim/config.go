@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -34,14 +35,12 @@ type Config struct {
 	// Scheduling policy: "gto" (default) or "lrr" (§6.5).
 	Scheduler string
 
-	// Warped-compression configuration.
-	Mode core.Mode
-	// Compression names the registered compression backend (schemes/v1:
-	// "bdi", "static", "fpc"; see core.Schemes). The empty string is the
-	// legacy spelling of core.DefaultScheme ("bdi"), so configurations
-	// that predate the registry keep byte-identical results and signature
-	// identity. The fixed-choice modes (ModeOnly40/41/42) are BDI
-	// design-space points and only combine with the bdi scheme.
+	// Compression is the one compression axis: CompressionOff (the
+	// paper's baseline, no compression hardware) or the name of a
+	// registered backend (schemes/v1, see core.Schemes): "bdi" (the
+	// paper's dynamic warped-compression), its §6.6 fixed-choice designs
+	// "bdi40", "bdi41" and "bdi42", "fpc" or "static". The empty string is
+	// the legacy spelling of core.DefaultScheme ("bdi").
 	Compression string
 	// DivergencePolicy selects how divergent writes interact with
 	// compressed registers (paper §5.2):
@@ -125,7 +124,6 @@ func DefaultConfig() Config {
 
 		Scheduler: "gto",
 
-		Mode:              core.ModeWarped,
 		DivergencePolicy:  "uncompressed",
 		Compressors:       2,
 		Decompressors:     4,
@@ -149,11 +147,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// CompressionOff is the Compression value of the no-compression baseline.
+// It is a value of the configuration's axis, not a registered codec.
+const CompressionOff = "off"
+
 // BaselineConfig is DefaultConfig with compression and gating off: the
 // paper's no-compression baseline.
 func BaselineConfig() Config {
 	c := DefaultConfig()
-	c.Mode = core.ModeOff
+	c.Compression = CompressionOff
 	c.PowerGating = false
 	return c
 }
@@ -212,9 +214,9 @@ func (c *Config) Validate() error {
 		return &ConfigError{"RFCEntries", "negative RFC size"}
 	case c.DrowsyAfter < 0:
 		return &ConfigError{"DrowsyAfter", "negative drowsy threshold"}
-	case c.RFCEntries > 0 && c.Mode.Enabled():
+	case c.RFCEntries > 0 && c.Compresses():
 		return &ConfigError{"RFCEntries", "the RFC comparator and warped-compression are mutually exclusive"}
-	case c.Faults.Redirect && !c.Mode.Enabled():
+	case c.Faults.Redirect && !c.Compresses():
 		return &ConfigError{"Faults.Redirect", "RRCD redirection needs compression (only compressed registers can move banks)"}
 	case c.SMParallel < 0:
 		return &ConfigError{"SMParallel", "negative shard count (0 selects GOMAXPROCS)"}
@@ -222,51 +224,55 @@ func (c *Config) Validate() error {
 		return &ConfigError{"SMEpoch", "negative epoch length (0 selects 1 cycle)"}
 	case c.SMEpoch > c.GlobalLatency:
 		return &ConfigError{"SMEpoch", fmt.Sprintf("epoch of %d cycles exceeds GlobalLatency %d (deferred atomics must commit before the pipeline consumes their old values)", c.SMEpoch, c.GlobalLatency)}
-	case !core.SchemeRegistered(c.Compression):
-		return &ConfigError{"Compression", fmt.Sprintf("unknown compression scheme %q (registered: %v)", c.Compression, core.Schemes())}
-	case c.CompressionScheme() != core.DefaultScheme &&
-		(c.Mode == core.ModeOnly40 || c.Mode == core.ModeOnly41 || c.Mode == core.ModeOnly42):
-		return &ConfigError{"Compression", fmt.Sprintf("mode %s is a BDI design-space point; scheme %q only supports off/warped", c.Mode, c.CompressionScheme())}
+	case c.Compresses() && !core.SchemeRegistered(c.Compression):
+		return unknownCompression(c.Compression)
 	}
 	return c.Faults.Validate(regfile.NumBanks)
 }
 
-// CompressionScheme returns the resolved compression backend name: the
-// configured scheme, or core.DefaultScheme when the field is empty. Use
-// this accessor — not the raw field — anywhere the name is compared,
-// signed or displayed, so the legacy empty spelling can never alias.
+// Compresses reports whether the configuration has compression hardware,
+// i.e. Compression is anything but CompressionOff.
+func (c *Config) Compresses() bool { return c.Compression != CompressionOff }
+
+// CompressionScheme returns the resolved value of the compression axis:
+// CompressionOff, or the configured backend with the empty legacy spelling
+// resolved to core.DefaultScheme. Use this accessor — not the raw field —
+// anywhere the value is compared, signed or displayed, so "" and "bdi" can
+// never alias.
 func (c *Config) CompressionScheme() string {
 	return core.ResolveScheme(c.Compression)
 }
 
-// ApplyCompression interprets a -compression flag value: a registered
-// scheme name ("bdi", "static", "fpc"), the policy spellings "off" and
-// "warped", or a BDI fixed-choice mode ("only40", "only41", "only42").
-// Scheme names enable compression (ModeWarped) under that backend; "off"
-// also disables bank power gating, matching the paper's baseline.
+// classifier names the backend the GPU classifies register writes with:
+// the configured scheme, or bdi under CompressionOff, so the baseline keeps
+// reporting BDI compressibility in its statistics.
+func (c *Config) classifier() string {
+	if !c.Compresses() {
+		return core.DefaultScheme
+	}
+	return c.CompressionScheme()
+}
+
+// CompressionValues lists the values of the compression axis: "off", then
+// every registered scheme in sorted order.
+func CompressionValues() []string {
+	return append([]string{CompressionOff}, core.Schemes()...)
+}
+
+func unknownCompression(v string) error {
+	return &ConfigError{"Compression", fmt.Sprintf("unknown compression %q (have %s)", v, strings.Join(CompressionValues(), ", "))}
+}
+
+// ApplyCompression interprets a -compression flag value: CompressionOff or
+// a registered scheme name. It sets Compression; "off" also disables bank
+// power gating, matching the paper's baseline.
 func (c *Config) ApplyCompression(v string) error {
-	switch v {
-	case "off":
-		c.Mode = core.ModeOff
+	if v != CompressionOff && !core.SchemeRegistered(v) {
+		return unknownCompression(v)
+	}
+	c.Compression = v
+	if v == CompressionOff {
 		c.PowerGating = false
-	case "warped", "bdi":
-		c.Mode = core.ModeWarped
-		c.Compression = core.DefaultScheme
-	case "only40":
-		c.Mode = core.ModeOnly40
-		c.Compression = core.DefaultScheme
-	case "only41":
-		c.Mode = core.ModeOnly41
-		c.Compression = core.DefaultScheme
-	case "only42":
-		c.Mode = core.ModeOnly42
-		c.Compression = core.DefaultScheme
-	default:
-		if !core.SchemeRegistered(v) {
-			return &ConfigError{"Compression", fmt.Sprintf("unknown compression %q (have off, warped, only40, only41, only42, or a registered scheme: %v)", v, core.Schemes())}
-		}
-		c.Mode = core.ModeWarped
-		c.Compression = v
 	}
 	return nil
 }

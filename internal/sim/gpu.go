@@ -28,8 +28,8 @@ type GPU struct {
 	mem *mem.Global
 	sms []*SM
 
-	// comp is the compression backend selected by cfg.Compression; all SMs
-	// share it (the scheme is stateless on the write path — the static
+	// comp is the backend that classifies register writes: the one
+	// cfg.Compression selects, or bdi under CompressionOff. All SMs share it (the scheme is stateless on the write path — the static
 	// scheme's table is bound once per launch, before the SMs run).
 	comp core.Compressor
 
@@ -45,7 +45,7 @@ func New(config Config) (*GPU, error) {
 	if err := config.Validate(); err != nil {
 		return nil, err
 	}
-	comp, err := core.NewCompressor(config.Compression)
+	comp, err := core.NewCompressor(config.classifier())
 	if err != nil {
 		return nil, err // unreachable after Validate; kept for refactors
 	}
@@ -230,7 +230,7 @@ func (g *GPU) run(ctx context.Context, l isa.Launch, beat *atomic.Uint64) (*Resu
 	// compressor/decompressor leakage. The RFC comparator leaks for its
 	// full capacity (entries x 128 B x resident warps).
 	compUnits, decompUnits := 0, 0
-	if g.cfg.Mode.Enabled() {
+	if g.cfg.Compresses() {
 		compUnits, decompUnits = g.cfg.Compressors, g.cfg.Decompressors
 	}
 	rfcKB := 0

@@ -172,7 +172,7 @@ func TestReadySetMatchesScan(t *testing.T) {
 	}{
 		{"gto", func(c *Config) {}, false},
 		{"lrr", func(c *Config) { c.Scheduler = "lrr" }, false},
-		{"rfc4", func(c *Config) { c.Mode, c.RFCEntries = core.ModeOff, 4 }, false},
+		{"rfc4", func(c *Config) { c.Compression, c.RFCEntries = CompressionOff, 4 }, false},
 		{"replay", func(c *Config) {}, true},
 	}
 	for _, name := range []string{"pathfinder", "bfs", "histo", "spmv"} {

@@ -69,22 +69,22 @@ func TestChooseEncMemoSchemeSwap(t *testing.T) {
 	}
 	res.unchanged = true
 
-	wantB := bdi.Choose(int(dst), &res.dstVals, core.ModeWarped)
-	wantF := fpc.Choose(int(dst), &res.dstVals, core.ModeWarped)
+	wantB := bdi.Choose(int(dst), &res.dstVals)
+	wantF := fpc.Choose(int(dst), &res.dstVals)
 	if wantB == wantF {
 		t.Fatalf("test vector does not distinguish schemes (both %v)", wantB)
 	}
 
-	if got := sBDI.chooseEnc(w, dst, &res, core.ModeWarped); got != wantB {
+	if got := sBDI.chooseEnc(w, dst, &res); got != wantB {
 		t.Fatalf("bdi chooseEnc = %v, want %v", got, wantB)
 	}
 	// Same warp object handed to a different backend: the bdi entry is
 	// valid and the value unchanged, but it must NOT be served.
-	if got := sFPC.chooseEnc(w, dst, &res, core.ModeWarped); got != wantF {
+	if got := sFPC.chooseEnc(w, dst, &res); got != wantF {
 		t.Fatalf("fpc served stale bdi memo: got %v, want %v", got, wantF)
 	}
 	// And back again: the fpc entry must not leak into bdi either.
-	if got := sBDI.chooseEnc(w, dst, &res, core.ModeWarped); got != wantB {
+	if got := sBDI.chooseEnc(w, dst, &res); got != wantB {
 		t.Fatalf("bdi served stale fpc memo: got %v, want %v", got, wantB)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/stats"
 )
@@ -22,6 +21,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Scheduler = "fifo" },
 		func(c *Config) { c.MaxCycles = 0 },
 		func(c *Config) { c.L1SizeKB = 16; c.L1Ways = 0 },
+		func(c *Config) { c.Compression = "warped" }, // retired spellings
+		func(c *Config) { c.Compression = "only40" },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()
@@ -33,6 +34,26 @@ func TestConfigValidation(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
+	}
+	// ApplyCompression takes exactly the axis values; "off" also clears
+	// power gating, every other value leaves it alone.
+	for _, v := range CompressionValues() {
+		c := DefaultConfig()
+		if err := c.ApplyCompression(v); err != nil {
+			t.Errorf("ApplyCompression(%q): %v", v, err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("ApplyCompression(%q) gave an invalid config: %v", v, err)
+		}
+		if c.Compression != v || c.PowerGating != (v != CompressionOff) {
+			t.Errorf("ApplyCompression(%q) = Compression %q, PowerGating %t", v, c.Compression, c.PowerGating)
+		}
+	}
+	for _, v := range []string{"warped", "only40", "only41", "only42", "zstd"} {
+		c := DefaultConfig()
+		if err := c.ApplyCompression(v); err == nil {
+			t.Errorf("ApplyCompression(%q) accepted a value outside the axis", v)
+		}
 	}
 }
 
@@ -317,18 +338,18 @@ func TestCompressionRatioBounds(t *testing.T) {
 // TestScalarizationSubset: a run restricted to <4,0> must never compress
 // more registers than warped-compression on the same kernel.
 func TestScalarizationSubset(t *testing.T) {
-	run := func(m core.Mode) *Result {
+	run := func(compression string) *Result {
 		c := testConfig()
-		c.Mode = m
+		c.Compression = compression
 		_, res, _ := runKernel(t, c, loopKernelSrc, 4, 128, nil)
 		return res
 	}
-	only40 := run(core.ModeOnly40)
-	wc := run(core.ModeWarped)
+	only40 := run("bdi40")
+	wc := run("bdi")
 	c40 := only40.Stats.WritesByEnc[stats.NonDivergent][1] // Enc40 slot
 	total40 := c40 + only40.Stats.WritesByEnc[stats.NonDivergent][2] + only40.Stats.WritesByEnc[stats.NonDivergent][3]
 	if total40 != c40 {
-		t.Fatal("ModeOnly40 stored a non-<4,0> compressed encoding")
+		t.Fatal("bdi40 stored a non-<4,0> compressed encoding")
 	}
 	var comprWC uint64
 	for e := 1; e < stats.NumEncodings; e++ {

@@ -1,6 +1,6 @@
 // Package store is a disk-backed, content-addressed blob store that makes
 // expensive simulation artifacts survive process lifetimes: completed
-// warped.sim.result/v1 documents keyed by the cfg/v1
+// warped.sim.result/v1 documents keyed by the versioned
 // experiments.ConfigSignature job key, and warped.trace/v1 recordings
 // keyed by their trace refs. The serving layer (internal/jobs) writes
 // through to it under its in-memory LRU, so a restarted warpedd serves

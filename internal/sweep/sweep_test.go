@@ -111,6 +111,11 @@ func TestSpecValidation(t *testing.T) {
 		{`{"name": "x", "benchmarks": ["bfs"], "base": {"NumSMs": 0}}`, "NumSMs"},
 		{`{"name": "x", "benchmarks": ["bfs"], "typo": true}`, "typo"},
 		{`{"name": "x", "benchmarks": ["bfs"], "configs": [{"name": "CompressLatency=1"}], "grid": {"CompressLatency": [1]}}`, "collides"},
+		// Compression is the one axis; the retired Mode field and the old
+		// policy spellings are not values of it.
+		{`{"name": "x", "benchmarks": ["bfs"], "base": {"Mode": 0}}`, "Mode"},
+		{`{"name": "x", "benchmarks": ["bfs"], "grid": {"Compression": ["warped"]}}`, "warped"},
+		{`{"name": "x", "benchmarks": ["bfs"], "configs": [{"name": "a", "overrides": {"Compression": "only40"}}]}`, "only40"},
 	}
 	for _, tc := range cases {
 		_, err := sweep.Parse([]byte(tc.doc))

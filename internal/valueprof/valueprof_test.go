@@ -92,9 +92,13 @@ func TestChoiceInRange(t *testing.T) {
 // <4,0>-compressible with the warp's first lane as base... only when all
 // lanes are equal; check that BinZero implies Enc40.
 func TestBinConsistentWithCompressibility(t *testing.T) {
+	bdi, err := core.NewCompressor("bdi")
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(w core.WarpReg) bool {
 		if BinOf(&w) == stats.BinZero {
-			return core.ModeWarped.Choose(&w) == core.Enc40
+			return bdi.Choose(0, &w) == core.Enc40
 		}
 		return true
 	}

@@ -21,16 +21,17 @@ func ExampleCompress() {
 	// <4,1> compresses 128 bytes to 35 bytes (3 register banks)
 }
 
-// ExampleChooseEncoding shows the hardware compressor's fixed choices on
-// the three value patterns the paper's Figure 2 bins describe.
-func ExampleChooseEncoding() {
+// ExampleNewCompressor shows the bdi compressor's fixed choices on the
+// three value patterns the paper's Figure 2 bins describe.
+func ExampleNewCompressor() {
+	bdi, _ := warped.NewCompressor("bdi")
 	patterns := map[string]int32{"uniform": 0, "thread-indexed": 1, "strided": 500}
 	for _, name := range []string{"uniform", "thread-indexed", "strided"} {
 		var w warped.WarpReg
 		for lane := range w {
 			w[lane] = uint32(int32(lane) * patterns[name])
 		}
-		fmt.Printf("%s -> %s\n", name, warped.ChooseEncoding(warped.ModeWarped, &w))
+		fmt.Printf("%s -> %s\n", name, bdi.Choose(0, &w))
 	}
 	// Output:
 	// uniform -> <4,0>

@@ -56,18 +56,6 @@ const (
 	Enc42           = core.Enc42
 )
 
-// Mode is the compression policy (off, warped, or a single fixed choice).
-type Mode = core.Mode
-
-// Compression modes.
-const (
-	ModeOff    = core.ModeOff
-	ModeWarped = core.ModeWarped
-	ModeOnly40 = core.ModeOnly40
-	ModeOnly41 = core.ModeOnly41
-	ModeOnly42 = core.ModeOnly42
-)
-
 // BDIParams is one <base,delta> configuration of the BDI algorithm.
 type BDIParams = core.Params
 
@@ -88,10 +76,6 @@ func Decompress(comp []byte, p BDIParams, out []byte) error { return core.Decomp
 // BestBDIParams runs the full design-space explorer of paper §4 / Fig 5.
 func BestBDIParams(data []byte) (BDIParams, bool) { return core.BestParams(data) }
 
-// ChooseEncoding applies a compression mode to a warp register value vector,
-// returning the encoding the hardware compressor would store.
-func ChooseEncoding(m Mode, vals *WarpReg) Encoding { return m.Choose(vals) }
-
 // --- Compression backends (schemes/v1) ---
 
 // Compressor is one pluggable register-compression backend: a pattern
@@ -104,11 +88,12 @@ type Compressor = core.Compressor
 const DefaultCompressionScheme = core.DefaultScheme
 
 // CompressionSchemes lists the registered backend names in sorted order
-// (bdi, fpc, static).
+// (bdi, bdi40, bdi41, bdi42, fpc, static).
 func CompressionSchemes() []string { return core.Schemes() }
 
 // CompressionSchemeRegistered reports whether name is a registered backend
-// ("" counts as the default scheme).
+// ("" counts as the default scheme). Config.Compression additionally takes
+// CompressionOff.
 func CompressionSchemeRegistered(name string) bool { return core.SchemeRegistered(name) }
 
 // NewCompressor builds a fresh instance of a registered backend by name.
@@ -164,6 +149,10 @@ func ParseFaultSpec(spec string) (FaultConfig, error) { return faults.ParseSpec(
 
 // DefaultConfig returns paper Table 2 with warped-compression on.
 func DefaultConfig() Config { return sim.DefaultConfig() }
+
+// CompressionOff is the Config.Compression value of the no-compression
+// baseline; every other value names a registered backend.
+const CompressionOff = sim.CompressionOff
 
 // BaselineConfig returns the paper's no-compression baseline.
 func BaselineConfig() Config { return sim.BaselineConfig() }

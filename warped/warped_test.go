@@ -65,7 +65,11 @@ func TestCompressionPrimitives(t *testing.T) {
 	for i := range w {
 		w[i] = uint32(100 + i)
 	}
-	if enc := warped.ChooseEncoding(warped.ModeWarped, &w); enc != warped.Enc41 {
+	bdi, err := warped.NewCompressor("bdi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc := bdi.Choose(0, &w); enc != warped.Enc41 {
 		t.Fatalf("encoding %v, want <4,1>", enc)
 	}
 	data := w.Bytes()
